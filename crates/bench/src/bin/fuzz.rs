@@ -7,10 +7,9 @@
 //!   violation.
 //!   `fuzz --seeds 0..200 --devices 60 --budget-secs 900`
 //! * **repro**: replay one artifact exactly and report whether its
-//!   recorded oracle still fires; `--bisect` hands the case to the PR 8
-//!   fingerprint bisector (workers=1 vs workers=N) for event-level
-//!   localization.
-//!   `fuzz --repro corpus/seed-17.brfuzz --bisect`
+//!   recorded oracle still fires; `--explain` prints the hop chain of
+//!   each unaccounted trace.
+//!   `fuzz --repro corpus/seed-44-accounting.brfuzz --explain`
 //! * **corpus**: replay every `.brfuzz` under a directory; all must be
 //!   clean (they are fixed regressions).
 //!   `fuzz --corpus corpus`
@@ -27,17 +26,9 @@ use std::time::Instant;
 use bench::{arg_flag, arg_opt, arg_or, parse_seed_range};
 use bladerunner::fault::OracleId;
 use bladerunner::fuzz::{
-    decode_artifact, encode_artifact, gen_case, materialize, run_case, shrink, FuzzCase,
-    RunOptions, ShrinkResult,
+    decode_artifact, encode_artifact, gen_case, run_case, shrink, FuzzCase, RunOptions,
+    ShrinkResult,
 };
-use bladerunner::replay::{bisect, RunSpec};
-
-fn opts() -> RunOptions {
-    RunOptions {
-        xcheck_workers: arg_or("--xcheck-workers", 2usize),
-        planted: false,
-    }
-}
 
 fn main() {
     println!("== bladerunner fault-plan fuzzer ==");
@@ -69,10 +60,10 @@ fn campaign() {
     let budget_secs = arg_or("--budget-secs", 900u64);
     let shrink_runs = arg_or("--shrink-runs", 150u32);
     let artifact_dir = PathBuf::from(arg_or("--artifact-dir", "fuzz-artifacts".to_string()));
-    let opts = opts();
+    let opts = RunOptions::default();
     println!(
-        "seeds {}..{}  devices {}  xcheck-workers {}  budget {}s",
-        seeds.start, seeds.end, devices, opts.xcheck_workers, budget_secs
+        "seeds {}..{}  devices {}  budget {}s",
+        seeds.start, seeds.end, devices, budget_secs
     );
 
     let started = Instant::now();
@@ -133,7 +124,6 @@ fn campaign() {
             "  \"mode\": \"campaign\",\n",
             "  \"seeds\": \"{}\",\n",
             "  \"devices\": {},\n",
-            "  \"xcheck_workers\": {},\n",
             "  \"seeds_run\": {},\n",
             "  \"seeds_total\": {},\n",
             "  \"events_total\": {},\n",
@@ -145,7 +135,6 @@ fn campaign() {
         ),
         spec,
         devices,
-        opts.xcheck_workers,
         ran,
         total,
         events,
@@ -211,7 +200,7 @@ fn load(path: &Path) -> (FuzzCase, bladerunner::fault::Violation) {
 
 fn repro(path: &Path) {
     let (case, recorded) = load(path);
-    let opts = opts();
+    let opts = RunOptions::default();
     println!(
         "repro {}: seed {}  scenario {}  {} episode(s)  {} device(s)",
         path.display(),
@@ -249,9 +238,6 @@ fn repro(path: &Path) {
             println!("  {line}");
         }
     }
-    if arg_flag("--bisect") {
-        bisect_case(&case, opts.xcheck_workers.max(2));
-    }
     emit_json(&format!(
         concat!(
             "{{\n",
@@ -272,31 +258,6 @@ fn repro(path: &Path) {
         reproduced,
         report.fingerprint,
     ));
-}
-
-/// Hands a case to the PR 8 bisector: the same case at workers=1 vs
-/// workers=N. For determinism violations this localizes the first
-/// diverging event; for everything else it certifies tick-identical
-/// executions (the repro itself is the evidence then).
-fn bisect_case(case: &FuzzCase, workers: usize) {
-    let config = case.config();
-    let end = case.end();
-    let spec = |label: String, w: usize| RunSpec {
-        label,
-        config: config.clone(),
-        build: Box::new(move || {
-            let (mut sim, _ids) = materialize(case);
-            sim.set_workers(w);
-            sim
-        }),
-    };
-    let report = bisect(
-        &spec("workers=1".into(), 1),
-        &spec(format!("workers={workers}"), workers),
-        end,
-        5,
-    );
-    println!("\n== bisect handoff ==\n{}", report.render());
 }
 
 // ----------------------------------------------------------------------
@@ -320,7 +281,7 @@ fn corpus(dir: &Path) {
         println!("corpus {}: no artifacts; nothing to replay", dir.display());
         return;
     }
-    let opts = opts();
+    let opts = RunOptions::default();
     let mut regressed = 0usize;
     for path in &paths {
         let (case, recorded) = load(path);
@@ -360,10 +321,7 @@ fn corpus(dir: &Path) {
 /// shrink order.
 fn self_test_shrink() {
     let devices = arg_or("--devices", 24u32);
-    let opts = RunOptions {
-        xcheck_workers: 0,
-        planted: true,
-    };
+    let opts = RunOptions { planted: true };
     // Find the first seed whose generated plan plants the target combo
     // alongside at least two bystander episodes.
     let planted = (0..500u64)

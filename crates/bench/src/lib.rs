@@ -248,7 +248,7 @@ pub mod snapctl {
     /// The per-tick fingerprint block for a bench JSON summary (no
     /// surrounding comma): the full `(tick, fingerprint)` series plus the
     /// end-of-run state fingerprint. Two runs of the same
-    /// `(config, seed, workload)` — at any worker count, resumed or not —
+    /// `(config, seed, workload)` — resumed or not —
     /// produce identical blocks; the first differing tick brackets a
     /// divergence.
     pub fn fingerprint_json(sim: &SystemSim) -> String {

@@ -105,10 +105,9 @@ pub struct SystemConfig {
     /// past half the window). `0` disables egress flow control.
     pub egress_window_bytes: u64,
     /// Number of logical event-loop shards the simulator partitions state
-    /// into. Fixed per configuration (not per run): results are a pure
-    /// function of `(config, seed)` regardless of how many worker threads
-    /// execute the shards, so this is part of the experiment definition
-    /// while the worker count is a free performance knob.
+    /// into. Part of the experiment definition: the shard count fixes the
+    /// window barrier's merge order, so results are a pure function of
+    /// `(config, seed)`.
     pub logical_shards: usize,
     /// Whether quiescent connected devices are parked into their compact
     /// frozen form between events (rehydrated on the next event that

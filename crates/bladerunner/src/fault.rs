@@ -653,9 +653,6 @@ pub enum OracleId {
     /// Per-device, per-stream delivery order: applied sequence numbers
     /// only move forward, and calm streams account for every sequence.
     DeliveryOrder,
-    /// Workers-1-vs-N equivalence: the same (config, seed, plan) must
-    /// fingerprint identically at any worker count.
-    Determinism,
     /// Test-only oracle for the shrinker self-test: "fires" on a planted
     /// episode combination rather than a real system property.
     Planted,
@@ -669,7 +666,6 @@ impl OracleId {
             OracleId::Accounting => "accounting",
             OracleId::HeartbeatSanity => "heartbeat_sanity",
             OracleId::DeliveryOrder => "delivery_order",
-            OracleId::Determinism => "determinism",
             OracleId::Planted => "planted",
         }
     }
@@ -682,7 +678,8 @@ impl Snap for OracleId {
             OracleId::Accounting => 1,
             OracleId::HeartbeatSanity => 2,
             OracleId::DeliveryOrder => 3,
-            OracleId::Determinism => 4,
+            // Tag 4 was the workers-1-vs-N determinism oracle, retired
+            // with the worker pool; it is never reused.
             OracleId::Planted => 5,
         });
     }
@@ -693,7 +690,11 @@ impl Snap for OracleId {
             1 => OracleId::Accounting,
             2 => OracleId::HeartbeatSanity,
             3 => OracleId::DeliveryOrder,
-            4 => OracleId::Determinism,
+            4 => {
+                return Err(SnapError::Retired {
+                    what: "the workers-1-vs-N determinism oracle (oracle tag 4)",
+                })
+            }
             5 => OracleId::Planted,
             t => return Err(SnapError::Invalid(format!("oracle tag {t}"))),
         })

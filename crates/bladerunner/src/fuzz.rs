@@ -15,15 +15,13 @@
 //!    the plan's heal plus a grace window;
 //! 3. **check** — an oracle suite extracted from the scattered test
 //!    asserts: convergence + accounting (the [`ConvergenceReport`]
-//!    violations), heartbeat sanity, per-stream delivery order, and a
-//!    workers-1-vs-N fingerprint cross-check;
+//!    violations), heartbeat sanity, and per-stream delivery order;
 //! 4. **shrink** — on violation, [`shrink`] delta-debugs the case (drop
 //!    episodes, halve durations and fan-outs, strip overload knobs,
 //!    shrink the device count), re-running deterministically and keeping
 //!    only candidates that re-fire the *same* oracle;
 //! 5. **persist** — [`encode_artifact`] seals the minimized case into a
-//!    `.brfuzz` file that `bench --bin fuzz --repro` re-triggers exactly
-//!    and `bench --bin bisect`-style tooling can localize.
+//!    `.brfuzz` file that `bench --bin fuzz --repro` re-triggers exactly.
 //!
 //! [`ConvergenceReport`]: crate::fault::ConvergenceReport
 
@@ -120,9 +118,9 @@ pub struct FuzzCase {
 impl FuzzCase {
     /// The system shape every fuzz case runs under: a small-preset world
     /// widened to six hosts / three proxies (so plans have targets worth
-    /// randomizing), tight metrics ticks (so the determinism cross-check
-    /// and bisect handoff get a dense fingerprint series), and full trace
-    /// retention (the accounting and order oracles read the ledger).
+    /// randomizing), tight metrics ticks (a dense fingerprint series),
+    /// and full trace retention (the accounting and order oracles read
+    /// the ledger). Checked-in artifacts replay under exactly this shape.
     pub fn config(&self) -> SystemConfig {
         let mut config = SystemConfig::small();
         config.brass_hosts = 6;
@@ -472,22 +470,10 @@ fn gen_plan(rng: &mut DetRng, config: &SystemConfig, devices: &[u64]) -> FaultPl
 // ----------------------------------------------------------------------
 
 /// Knobs for a single [`run_case`] evaluation.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct RunOptions {
-    /// Worker count for the determinism cross-check run (0 or 1 skips
-    /// the second run entirely).
-    pub xcheck_workers: usize,
     /// Enables the test-only planted oracle (shrinker self-test).
     pub planted: bool,
-}
-
-impl Default for RunOptions {
-    fn default() -> Self {
-        RunOptions {
-            xcheck_workers: 2,
-            planted: false,
-        }
-    }
 }
 
 /// What one case run produced.
@@ -510,7 +496,6 @@ pub struct CaseReport {
 /// violation, showing exactly where each lost update's trail goes cold.
 pub fn explain_unaccounted(case: &FuzzCase, cap: usize) -> Vec<String> {
     let (mut sim, _ids) = materialize(case);
-    sim.set_workers(1);
     sim.run_until(case.end());
     let ledger = sim.trace_ledger();
     let mut out = Vec::new();
@@ -532,16 +517,12 @@ pub fn explain_unaccounted(case: &FuzzCase, cap: usize) -> Vec<String> {
 /// Runs a case to its end and evaluates the oracle suite.
 pub fn run_case(case: &FuzzCase, opts: &RunOptions) -> CaseReport {
     let (mut sim, ids) = materialize(case);
-    sim.set_workers(1);
     let end = case.end();
     sim.run_until(end);
 
     let mut violations = sim.convergence_report().violations;
     violations.extend(heartbeat_oracle(&sim, case));
     violations.extend(delivery_order_oracle(&sim, &ids));
-    if opts.xcheck_workers > 1 {
-        violations.extend(determinism_oracle(&sim, case, opts.xcheck_workers));
-    }
     if opts.planted {
         violations.extend(planted_oracle(case));
     }
@@ -671,60 +652,6 @@ fn delivery_order_oracle(sim: &SystemSim, ids: &[u64]) -> Vec<Violation> {
                 }
             }
         }
-    }
-    violations
-}
-
-/// Workers-1-vs-N equivalence: the reference run used one worker; this
-/// re-materializes the same case under `workers` threads and compares
-/// the per-tick fingerprint series, the final state fingerprint, and the
-/// ledger's rolling hash. Any difference is a scheduling-order leak.
-fn determinism_oracle(reference: &SystemSim, case: &FuzzCase, workers: usize) -> Vec<Violation> {
-    let (mut other, _ids) = materialize(case);
-    other.set_workers(workers);
-    other.run_until(case.end());
-
-    let mut violations = Vec::new();
-    let (a, b) = (reference.tick_fingerprints(), other.tick_fingerprints());
-    let diverged_tick = a
-        .iter()
-        .zip(b.iter())
-        .find(|((ta, fa), (tb, fb))| ta != tb || fa != fb)
-        .map(|((t, _), _)| *t);
-    if let Some(t) = diverged_tick {
-        violations.push(Violation::new(
-            OracleId::Determinism,
-            format!("tick {}us", t.as_micros()),
-            format!("fingerprint series diverges between workers=1 and workers={workers}"),
-        ));
-    } else if a.len() != b.len() {
-        violations.push(Violation::new(
-            OracleId::Determinism,
-            "ticks",
-            format!(
-                "{} ticks at workers=1 vs {} at workers={workers}",
-                a.len(),
-                b.len()
-            ),
-        ));
-    }
-    if reference.fingerprint_now() != other.fingerprint_now() {
-        violations.push(Violation::new(
-            OracleId::Determinism,
-            "state",
-            format!(
-                "final fingerprint {:016x} (workers=1) vs {:016x} (workers={workers})",
-                reference.fingerprint_now(),
-                other.fingerprint_now()
-            ),
-        ));
-    }
-    if reference.trace_ledger().fingerprint() != other.trace_ledger().fingerprint() {
-        violations.push(Violation::new(
-            OracleId::Determinism,
-            "ledger",
-            format!("ledger rolling hash diverges between workers=1 and workers={workers}"),
-        ));
     }
     violations
 }
@@ -1024,7 +951,6 @@ mod tests {
             eprintln!("{line}");
         }
         let (mut sim, _ids) = materialize(&case);
-        sim.set_workers(1);
         sim.run_until(case.end());
         assert!(
             sim.trace_ledger().unaccounted().is_empty(),
@@ -1103,6 +1029,29 @@ mod tests {
             decode_artifact(&seal(w.into_bytes())),
             Err(SnapError::BadVersion { .. })
         ));
+    }
+
+    #[test]
+    fn artifact_with_retired_determinism_oracle_is_rejected() {
+        // An artifact as the removed workers-1-vs-N oracle wrote it:
+        // oracle tag 4, then the violation's entity and detail.
+        let mut w = SnapWriter::new();
+        w.put_str(ARTIFACT_TAG);
+        w.put_u32(ARTIFACT_VERSION);
+        tiny_case(5).snap(&mut w);
+        w.put_u8(4);
+        w.put_str("ledger");
+        w.put_str("ledger rolling hash diverges between workers=1 and workers=2");
+        assert!(matches!(
+            decode_artifact(&seal(w.into_bytes())),
+            Err(SnapError::Retired { .. })
+        ));
+        // The neighbouring tags still decode.
+        for oracle in [OracleId::DeliveryOrder, OracleId::Planted] {
+            let violation = Violation::new(oracle, "e", "d");
+            let bytes = encode_artifact(&tiny_case(5), &violation);
+            assert_eq!(decode_artifact(&bytes).expect("decode").1, violation);
+        }
     }
 
     #[test]

@@ -146,7 +146,7 @@ impl LatencyModel {
         Self::ms(&self.cross_region, rng)
     }
 
-    /// Conservative lookahead for the sharded parallel simulator: a lower
+    /// Conservative lookahead for the sharded simulator's windows: a lower
     /// bound on the latency of any *cross-shard* hop.
     ///
     /// The shortest edge that crosses a shard boundary is the reverse-proxy

@@ -572,8 +572,7 @@ impl SystemMetrics {
     /// Folds the cheap per-tick metrics digest into a fingerprint: every
     /// counter, queue-gauge peak, histogram population, and per-stream
     /// tally — O(counters + apps + streams-opened) per call, no float
-    /// formatting, no allocation beyond the sort of app names. Identical
-    /// across worker counts because everything mixed is.
+    /// formatting, no allocation beyond the sort of app names.
     pub fn mix_fingerprint(&self, fp: &mut Fp64) {
         for c in self.counters() {
             fp.mix_u64(c.get());

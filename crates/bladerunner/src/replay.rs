@@ -9,8 +9,8 @@
 //!   world.
 //!
 //! * The bisect engine: given two run recipes that *should* agree (the
-//!   same config at different worker counts, or two deliberately
-//!   different configs), it runs both with per-tick fingerprints and
+//!   same config and seed run twice, or two deliberately different
+//!   configs), it runs both with per-tick fingerprints and
 //!   periodic snapshots, binary-searches the fingerprint series for the
 //!   first diverging metrics tick, resumes each side from the nearest
 //!   common snapshot before it, replays the one diverging tick under a
@@ -62,7 +62,7 @@ pub fn resume_from_file(config: SystemConfig, path: &Path) -> SnapResult<SystemS
 /// possibly again for the replay — and must fully schedule its workload
 /// before returning (the engine only calls `run_until` afterwards).
 pub struct RunSpec<'a> {
-    /// Label used in the report ("workers=4", "config B", …).
+    /// Label used in the report ("A seed=42", "config B", …).
     pub label: String,
     /// The exact config `build` uses (needed to resume snapshots).
     pub config: SystemConfig,

@@ -6,36 +6,37 @@
 //! [`crate::latency::LatencyModel`]. All randomness flows
 //! from one seed, so any run is exactly reproducible.
 //!
-//! # Sharded parallel execution
+//! # Logical shards and conservative windows
 //!
 //! The system is partitioned into `config.logical_shards` independent
 //! event loops ([`Shard`]), each owning a disjoint slice of the world:
 //! devices and POPs shard by `device % pops` (a device always lives with
-//! its POP), reverse proxies by `proxy`, BRASS hosts by `host`, and the
-//! singleton backend (WAS, TAO, Pylon) lives on shard 0. Each shard has
-//! its own event queue, RNG stream, metrics, and trace buffer.
+//! its POP), reverse proxies by `proxy % shards`, BRASS hosts by
+//! `host % shards`, and the singleton backend (WAS, TAO, Pylon) lives on
+//! shard 0. Each shard has its own event queue, RNG stream, metrics, and
+//! trace buffer.
 //!
-//! Execution proceeds in conservative windows: every round the
-//! coordinator computes the earliest pending event across shards and runs
-//! each shard — serially or on a worker pool, see
-//! [`SystemSim::set_workers`] — up to `next + lookahead`, where the
-//! lookahead is [`LatencyModel::min_cross_shard_hop`]. Events that target
-//! another shard are collected in per-shard outboxes, merged at the
-//! window barrier in `(time, src_shard, seq)` order
+//! One driver runs the shards on the caller's thread in conservative
+//! windows: every round it computes the earliest pending event across
+//! shards and runs each shard, in id order, up to `next + lookahead`,
+//! where the lookahead is [`LatencyModel::min_cross_shard_hop`]. Events
+//! that target another shard are collected in per-shard outboxes, merged
+//! at the window barrier in `(time, src_shard, seq)` order
 //! ([`simkit::shard::merge`]), clamped out of the closed window
 //! ([`simkit::shard::clamp_to_window`]) and delivered before the
 //! destination pops anything from the next window. Shared read-mostly
-//! state (trace registry, topic subscriptions, device routing) lives
-//! behind a lock that shards only *read* during a window; all writes are
-//! queued as [`SharedOp`]s and applied at the barrier in shard order.
+//! state (trace registry, topic subscriptions, device routing) is only
+//! *read* during a window; all writes are queued as [`SharedOp`]s and
+//! applied at the barrier in shard order.
 //!
-//! The result is a simulation whose outputs are a pure function of
-//! `(config, seed, workload)` — the worker count only decides which OS
-//! thread executes a shard's window, never the order anything merges.
+//! The windows and the deferred writes define the event order, so the
+//! outputs are a pure function of `(config, seed, workload)`. The event
+//! order is what the run fingerprints, the fuzz corpus and the checked-in
+//! bench counts pin: applying writes eagerly would change results.
 
+use std::cell::{Ref, RefCell};
 use std::path::PathBuf;
-use std::sync::mpsc;
-use std::sync::{Arc, RwLock, RwLockReadGuard};
+use std::rc::Rc;
 
 use brass::app::{DeviceId, FetchToken, WasRequest, WasResponse};
 use brass::host::{BrassHost, HostConfig, HostEffect};
@@ -232,10 +233,7 @@ enum Ev {
     PylonPublish { event: Box<UpdateEvent> },
     /// Pylon forwards an event to one BRASS host. The event is shared:
     /// fanning out to N hosts enqueues N pointers to one allocation.
-    PylonDeliverHost {
-        host: usize,
-        event: Arc<UpdateEvent>,
-    },
+    PylonDeliverHost { host: usize, event: Rc<UpdateEvent> },
     /// A cross-region TAO cache invalidation applies.
     TaoReplicate { event: Box<tao::ReplicationEvent> },
 
@@ -505,9 +503,9 @@ fn ev_summary(ev: &Ev) -> String {
 }
 
 /// Events are snapshotted with one tag byte per variant (declaration
-/// order) followed by the fields in declaration order. `Box`/`Arc`
+/// order) followed by the fields in declaration order. `Box`/`Rc`
 /// wrappers are memory shape, not state: they are flattened on write and
-/// re-wrapped on read (an `Arc` shared across N queue entries restores as
+/// re-wrapped on read (an `Rc` shared across N queue entries restores as
 /// N independent allocations, which no behaviour can observe).
 impl Snap for Ev {
     fn snap(&self, w: &mut SnapWriter) {
@@ -789,7 +787,7 @@ impl Snap for Ev {
             },
             4 => Ev::PylonDeliverHost {
                 host: r.get_usize()?,
-                event: Arc::new(UpdateEvent::restore(r)?),
+                event: Rc::new(UpdateEvent::restore(r)?),
             },
             5 => Ev::TaoReplicate {
                 event: Box::new(tao::ReplicationEvent::restore(r)?),
@@ -1120,10 +1118,10 @@ impl DeviceState {
 // Shared cross-shard state.
 // ----------------------------------------------------------------------
 
-/// Read-mostly registries every shard consults. Shards take short read
-/// locks during a window; all writes are queued as [`SharedOp`]s and
-/// applied by the coordinator at the window barrier, in shard order, so
-/// the contents are identical no matter how shards are scheduled.
+/// Read-mostly registries every shard consults. Shards only read them
+/// during a window; all writes are queued as [`SharedOp`]s and applied by
+/// the coordinator at the window barrier, in shard order, so no shard
+/// sees another's writes from the same window.
 struct SharedInner {
     /// object → trace of the most recent update event referencing it, used
     /// to attribute payload fetches, frames, and renders back to traces.
@@ -1204,13 +1202,15 @@ fn apply_shared_op(shared: &mut SharedInner, op: SharedOp) {
 }
 
 /// State shared between shards: the registries and the trace ledger.
+/// Borrowed immutably by shard handlers during a window and mutably only
+/// by the barrier, so the `RefCell`s never conflict.
 struct World {
-    shared: RwLock<SharedInner>,
+    shared: RefCell<SharedInner>,
     /// The per-update hop ledger: every admitted update's journey through
     /// write → Pylon → BRASS → BURST → device, with drop attribution.
     /// Shards buffer records locally and the coordinator folds them in at
     /// each barrier, in shard order.
-    ledger: RwLock<TraceLedger>,
+    ledger: RefCell<TraceLedger>,
 }
 
 /// A buffered trace-ledger record awaiting the window barrier.
@@ -1249,7 +1249,7 @@ struct Shard {
     /// This shard's private RNG stream, forked off the master seed.
     rng: DetRng,
     queue: EventQueue<Ev>,
-    world: Arc<World>,
+    world: Rc<World>,
 
     /// The web application servers + TAO (shard 0 only).
     was: Option<WebApplicationServer>,
@@ -1304,7 +1304,7 @@ struct Shard {
 }
 
 impl Shard {
-    fn new(id: usize, config: &SystemConfig, master: &DetRng, world: Arc<World>) -> Self {
+    fn new(id: usize, config: &SystemConfig, master: &DetRng, world: Rc<World>) -> Self {
         let shards = config.logical_shards;
         let (was, pylon) = if id == 0 {
             (
@@ -1385,8 +1385,7 @@ impl Shard {
 
     /// Schedules an event: locally if this shard owns the target state,
     /// otherwise into the outbox for the barrier exchange. All handler
-    /// scheduling funnels through here, so the serial and threaded drivers
-    /// produce byte-identical schedules by construction.
+    /// scheduling funnels through here.
     fn send(&mut self, at: SimTime, ev: Ev) {
         let dest = shard_route(&ev, self.pops.len(), self.shards);
         if dest == self.id {
@@ -1396,10 +1395,9 @@ impl Shard {
         }
     }
 
-    /// A short-lived read guard over the shared registries. Guards are
-    /// always taken sequentially (never nested) inside handlers.
-    fn shared(&self) -> RwLockReadGuard<'_, SharedInner> {
-        self.world.shared.read().unwrap()
+    /// A short-lived read borrow of the shared registries.
+    fn shared(&self) -> Ref<'_, SharedInner> {
+        self.world.shared.borrow()
     }
 
     /// Buffers a trace-ledger record for the window barrier.
@@ -1415,11 +1413,10 @@ impl Shard {
     /// Whether a trace already reached its device (rendered or
     /// backfilled), per the merged ledger *plus this shard's own buffered
     /// records*. Other shards' unmerged records are deliberately invisible
-    /// — the serial driver has exactly the same visibility, which is what
-    /// keeps worker counts out of the results.
+    /// until the barrier, like every other cross-shard write.
     fn trace_resolved(&self, trace: TraceId) -> bool {
         {
-            let ledger = self.world.ledger.read().unwrap();
+            let ledger = self.world.ledger.borrow();
             if ledger.is_delivered(trace) || ledger.is_backfilled(trace) {
                 return true;
             }
@@ -1733,13 +1730,13 @@ impl Shard {
             .q_pylon_fanout
             .observe_depth(now, subscribers as u64);
         // One allocation, N pointers: the fan-out shares the event.
-        let event = Arc::new(event);
+        let event = Rc::new(event);
         for host in outcome.fast_forwards {
             self.send(
                 now + fanout,
                 Ev::PylonDeliverHost {
                     host: host.0 as usize,
-                    event: Arc::clone(&event),
+                    event: Rc::clone(&event),
                 },
             );
         }
@@ -1749,13 +1746,13 @@ impl Shard {
                 now + fanout + extra,
                 Ev::PylonDeliverHost {
                     host: host.0 as usize,
-                    event: Arc::clone(&event),
+                    event: Rc::clone(&event),
                 },
             );
         }
     }
 
-    fn on_pylon_deliver(&mut self, now: SimTime, host: usize, event: Arc<UpdateEvent>) {
+    fn on_pylon_deliver(&mut self, now: SimTime, host: usize, event: Rc<UpdateEvent>) {
         if host >= self.hosts.len() {
             return;
         }
@@ -3182,7 +3179,7 @@ impl Shard {
     fn restore(
         id: usize,
         config: &SystemConfig,
-        world: Arc<World>,
+        world: Rc<World>,
         r: &mut SnapReader<'_>,
     ) -> SnapResult<Shard> {
         // Start from a pristine shard (correct full-size component
@@ -3382,356 +3379,18 @@ impl Shard {
 // The coordinator: conservative windows over the shard set.
 // ----------------------------------------------------------------------
 
-/// A command the coordinator sends a worker thread.
-enum Cmd {
-    /// Run one shard's loop up to `end` after delivering `incoming`.
-    Run {
-        shard: usize,
-        end: SimTime,
-        incoming: Vec<Envelope<Ev>>,
-    },
-    /// Take one shard's metrics-tick sample at `at`.
-    Tick { shard: usize, at: SimTime },
-    /// Serialize one shard's state (only ever sent at a tick barrier).
-    Snap { shard: usize },
-}
-
-/// What one shard hands back from a window: its barrier products and the
-/// time of its next pending event.
-struct WindowRes {
-    shard: usize,
-    outbox: Vec<(SimTime, Ev)>,
-    ops: Vec<SharedOp>,
-    led: Vec<LedRec>,
-    next: Option<SimTime>,
-}
-
-enum WorkerRes {
-    Window(WindowRes),
-    Tick { shard: usize, summary: TickSummary },
-    Snap { shard: usize, bytes: Vec<u8> },
-}
-
-/// A worker thread's loop: serve Run/Tick commands for the shards this
-/// worker owns until the coordinator hangs up.
-fn worker_loop(
-    mut shards: Vec<(usize, &mut Shard)>,
-    rx: mpsc::Receiver<Cmd>,
-    tx: mpsc::Sender<WorkerRes>,
-) {
-    while let Ok(cmd) = rx.recv() {
-        match cmd {
-            Cmd::Run {
-                shard,
-                end,
-                incoming,
-            } => {
-                let (_, s) = shards
-                    .iter_mut()
-                    .find(|(i, _)| *i == shard)
-                    .expect("command routed to the owning worker");
-                s.run_window(end, incoming);
-                let res = WindowRes {
-                    shard,
-                    outbox: std::mem::take(&mut s.outbox),
-                    ops: std::mem::take(&mut s.ops),
-                    led: std::mem::take(&mut s.led_pending),
-                    next: s.queue.peek_time(),
-                };
-                let _ = tx.send(WorkerRes::Window(res));
-            }
-            Cmd::Tick { shard, at } => {
-                let (_, s) = shards
-                    .iter_mut()
-                    .find(|(i, _)| *i == shard)
-                    .expect("command routed to the owning worker");
-                let summary = s.shard_tick(at);
-                let _ = tx.send(WorkerRes::Tick { shard, summary });
-            }
-            Cmd::Snap { shard } => {
-                let (_, s) = shards
-                    .iter_mut()
-                    .find(|(i, _)| *i == shard)
-                    .expect("command routed to the owning worker");
-                let mut w = SnapWriter::new();
-                s.snap(&mut w);
-                let _ = tx.send(WorkerRes::Snap {
-                    shard,
-                    bytes: w.into_bytes(),
-                });
-            }
-        }
-    }
-}
-
-/// The window barrier, shared verbatim by the serial and threaded
-/// drivers: apply deferred registry writes and ledger records in shard
-/// order, then wrap, merge, and route the cross-shard mail. Everything
-/// here is ordered by `(shard, emission index)` or `(time, src, seq)` —
-/// never by thread completion order.
-fn apply_barrier(
-    world: &World,
-    pending_incoming: &mut [Vec<Envelope<Ev>>],
-    pops: usize,
-    shards: usize,
-    window_end: SimTime,
-    mut results: Vec<WindowRes>,
-) {
-    debug_assert!(results.windows(2).all(|w| w[0].shard < w[1].shard));
-    {
-        let mut shared = world.shared.write().unwrap();
-        for r in results.iter_mut() {
-            for op in r.ops.drain(..) {
-                apply_shared_op(&mut shared, op);
-            }
-        }
-    }
-    {
-        let mut ledger = world.ledger.write().unwrap();
-        for r in results.iter_mut() {
-            for (trace, hop, at, outcome) in r.led.drain(..) {
-                ledger.record(trace, hop, at, outcome);
-            }
-        }
-    }
-    let outboxes: Vec<Vec<Envelope<Ev>>> = results
-        .into_iter()
-        .map(|r| {
-            let src = r.shard;
-            r.outbox
-                .into_iter()
-                .enumerate()
-                .map(|(i, (at, event))| Envelope {
-                    at: clamp_to_window(at, window_end),
-                    src_shard: src,
-                    seq: i as u64,
-                    event,
-                })
-                .collect()
-        })
-        .collect();
-    for env in merge(outboxes) {
-        let dest = shard_route(&env.event, pops, shards);
-        pending_incoming[dest].push(env);
-    }
-}
-
-/// Folds per-shard tick samples into the root time series (active
-/// streams, decision deltas, stream availability) exactly as the
-/// un-sharded metrics tick used to.
-fn record_tick(
-    root_metrics: &mut SystemMetrics,
-    root_stats: &mut EventStats,
-    decisions_at_tick: &mut u64,
-    fingerprints: &mut Vec<(SimTime, u64)>,
-    ledger_fp: u64,
-    at: SimTime,
-    summaries: Vec<TickSummary>,
-) {
-    // The per-tick run fingerprint: tick time, the ledger's rolling hash,
-    // and every shard's state digest (in shard order), plus the fleet
-    // aggregates the root series are about to record. Cumulative by
-    // construction — once two runs disagree at a tick, they disagree at
-    // every later tick, which is what lets the bisect harness
-    // binary-search the series.
-    let mut fp = Fp64::new();
-    fp.mix_u64(at.as_micros());
-    fp.mix_u64(ledger_fp);
-    for s in &summaries {
-        fp.mix_u64(s.fp);
-        fp.mix_u64(s.active_streams);
-        fp.mix_u64(s.decisions);
-        fp.mix_u64(s.live.len() as u64);
-        fp.mix_u64(s.open.len() as u64);
-    }
-    fingerprints.push((at, fp.value()));
-    root_stats.total += 1;
-    root_stats.metrics += 1;
-    let active: u64 = summaries.iter().map(|s| s.active_streams).sum();
-    root_metrics.ts_active_streams.record(at, active as f64);
-    let decisions: u64 = summaries.iter().map(|s| s.decisions).sum();
-    // Saturating: a crashed/upgraded host restarts with zeroed counters,
-    // so the fleet total can move backwards across a tick.
-    root_metrics
-        .ts_decisions
-        .record(at, decisions.saturating_sub(*decisions_at_tick) as f64);
-    *decisions_at_tick = decisions;
-    // One availability sample: of all open streams on currently-connected
-    // devices, the fraction a live BRASS host is serving right now.
-    let mut live: FxHashSet<(u64, StreamId)> = FxHashSet::default();
-    for s in &summaries {
-        live.extend(s.live.iter().copied());
-    }
-    let mut open = 0u64;
-    let mut served = 0u64;
-    for s in &summaries {
-        for key in &s.open {
-            open += 1;
-            if live.contains(key) {
-                served += 1;
-            }
-        }
-    }
-    let fraction = if open == 0 {
-        1.0
-    } else {
-        served as f64 / open as f64
-    };
-    root_metrics.record_availability(at, fraction);
-}
-
-/// Serializes the coordinator-level state plus the already-serialized
-/// per-shard bodies into one snapshot body (unsealed). Shared by the
-/// serial driver (which serializes shards inline) and the threaded driver
-/// (which collects bodies from the workers owning the shards).
-#[allow(clippy::too_many_arguments)]
-fn assemble_snapshot_body(
-    config: &SystemConfig,
-    at: SimTime,
-    next_metrics_tick: SimTime,
-    tick_index: u64,
-    decisions_at_tick: u64,
-    rng: &DetRng,
-    langs: &[String],
-    scenario_sids: &FxHashMap<u64, u64>,
-    world: &World,
-    root_metrics: &SystemMetrics,
-    root_stats: &EventStats,
-    fingerprints: &[(SimTime, u64)],
-    pending_incoming: &[Vec<Envelope<Ev>>],
-    shard_bodies: &[Vec<u8>],
-    driver_blob: &[u8],
-) -> Vec<u8> {
-    let mut w = SnapWriter::new();
-    // The config is part of the experiment definition, not the state:
-    // resume requires the caller to rebuild the exact same config and
-    // only validates it (by its Debug rendering, which covers every
-    // field) instead of round-tripping every nested knob.
-    w.put_str(&format!("{config:?}"));
-    at.snap(&mut w);
-    next_metrics_tick.snap(&mut w);
-    w.put_u64(tick_index);
-    w.put_u64(decisions_at_tick);
-    for word in rng.state() {
-        w.put_u64(word);
-    }
-    w.put_usize(langs.len());
-    for l in langs {
-        w.put_str(l);
-    }
-    snap::snap_map(scenario_sids, &mut w);
-    {
-        let shared = world.shared.read().unwrap();
-        let mut traces: Vec<_> = shared.object_trace.iter().collect();
-        traces.sort_by_key(|(k, _)| k.0);
-        w.put_usize(traces.len());
-        for (object, trace) in traces {
-            w.put_u64(object.0);
-            trace.snap(&mut w);
-        }
-        let mut fanout_traces: Vec<_> = shared.topic_object_trace.iter().collect();
-        fanout_traces
-            .sort_by(|a, b| (a.0 .0.as_str(), a.0 .1 .0).cmp(&(b.0 .0.as_str(), b.0 .1 .0)));
-        w.put_usize(fanout_traces.len());
-        for (&(topic, object), trace) in fanout_traces {
-            topic.snap(&mut w);
-            w.put_u64(object.0);
-            trace.snap(&mut w);
-        }
-        let mut topics: Vec<_> = shared.topic_streams.iter().collect();
-        topics.sort_by(|a, b| a.0.as_str().cmp(b.0.as_str()));
-        w.put_usize(topics.len());
-        for (topic, streams) in topics {
-            topic.snap(&mut w);
-            // Verbatim: publication fan-out walks this vec in push order.
-            w.put_usize(streams.len());
-            for (device, sid) in streams {
-                w.put_u64(*device);
-                sid.snap(&mut w);
-            }
-        }
-        let mut stream_topics: Vec<_> = shared.stream_topic.iter().collect();
-        stream_topics.sort_by_key(|(k, _)| **k);
-        w.put_usize(stream_topics.len());
-        for (&(device, sid), topic) in stream_topics {
-            w.put_u64(device);
-            sid.snap(&mut w);
-            topic.snap(&mut w);
-        }
-        let mut proxies: Vec<_> = shared.device_proxy.iter().collect();
-        proxies.sort_by_key(|(k, _)| **k);
-        w.put_usize(proxies.len());
-        for (&device, &proxy) in proxies {
-            w.put_u64(device);
-            w.put_usize(proxy);
-        }
-        w.put_usize(shared.host_up.len());
-        for up in &shared.host_up {
-            w.put_bool(*up);
-        }
-    }
-    world.ledger.read().unwrap().snap(&mut w);
-    root_metrics.snap(&mut w);
-    root_stats.snap(&mut w);
-    w.put_usize(fingerprints.len());
-    for (tick, fp) in fingerprints {
-        tick.snap(&mut w);
-        w.put_u64(*fp);
-    }
-    w.put_usize(pending_incoming.len());
-    for mailbox in pending_incoming {
-        // Verbatim: envelope order is queue insertion order, which breaks
-        // ties between same-time events.
-        w.put_usize(mailbox.len());
-        for env in mailbox {
-            env.at.snap(&mut w);
-            w.put_usize(env.src_shard);
-            w.put_u64(env.seq);
-            env.event.snap(&mut w);
-        }
-    }
-    w.put_usize(shard_bodies.len());
-    for body in shard_bodies {
-        w.put_bytes(body);
-    }
-    w.put_bytes(driver_blob);
-    w.into_bytes()
-}
-
-/// Delivers one policy-captured snapshot: into the in-memory ring and/or
-/// onto disk, per the configured policy.
-fn store_snapshot(
-    snapshots: &mut Vec<(SimTime, Vec<u8>)>,
-    keep: bool,
-    dir: &Option<PathBuf>,
-    tick: SimTime,
-    sealed: Vec<u8>,
-) {
-    if let Some(dir) = dir {
-        let path = dir.join(format!("snap-{:012}.brsnap", tick.as_micros()));
-        std::fs::write(&path, &sealed)
-            .unwrap_or_else(|e| panic!("writing snapshot {}: {e}", path.display()));
-    }
-    if keep {
-        snapshots.push((tick, sealed));
-    }
-}
-
 /// The full-system simulation: a set of logical shards driven in
-/// conservative parallel windows by this coordinator. See the module docs
-/// for the synchronisation contract.
+/// conservative windows by this coordinator. See the module docs for the
+/// synchronisation contract.
 pub struct SystemSim {
     config: SystemConfig,
     latency: LatencyModel,
     /// The master RNG: workload generators and fixture setup draw from it;
     /// every shard's private stream is forked off it at construction.
     rng: DetRng,
-    /// Worker threads driving shard windows (1 = serial). Purely a
-    /// performance knob: results are identical for any value.
-    workers: usize,
     now: SimTime,
     next_metrics_tick: SimTime,
-    world: Arc<World>,
+    world: Rc<World>,
     shards: Vec<Shard>,
     /// Cross-shard envelopes awaiting delivery at each shard's next
     /// window, in `(time, src_shard, seq)` order.
@@ -3775,8 +3434,8 @@ impl SystemSim {
     /// shared world, with the periodic metrics tick driven from here.
     pub fn new(config: SystemConfig, seed: u64) -> Self {
         let rng = DetRng::new(seed);
-        let world = Arc::new(World {
-            shared: RwLock::new(SharedInner {
+        let world = Rc::new(World {
+            shared: RefCell::new(SharedInner {
                 object_trace: FxHashMap::default(),
                 topic_object_trace: FxHashMap::default(),
                 topic_streams: FxHashMap::default(),
@@ -3784,16 +3443,15 @@ impl SystemSim {
                 device_proxy: FxHashMap::default(),
                 host_up: vec![true; config.brass_hosts as usize],
             }),
-            ledger: RwLock::new(TraceLedger::with_retention(config.trace_retention)),
+            ledger: RefCell::new(TraceLedger::with_retention(config.trace_retention)),
         });
         let shards: Vec<Shard> = (0..config.logical_shards)
-            .map(|id| Shard::new(id, &config, &rng, Arc::clone(&world)))
+            .map(|id| Shard::new(id, &config, &rng, Rc::clone(&world)))
             .collect();
         let pending_incoming = (0..config.logical_shards).map(|_| Vec::new()).collect();
         let mut sim = SystemSim {
             latency: LatencyModel::table3(),
             rng,
-            workers: 1,
             now: SimTime::ZERO,
             next_metrics_tick: SimTime::ZERO + config.metrics_interval,
             world,
@@ -3819,14 +3477,12 @@ impl SystemSim {
         sim
     }
 
-    /// Sets the number of worker threads driving shard windows. `1` (the
-    /// default) runs shards serially on the caller's thread. Any value is
-    /// safe at any time: the worker count decides only which OS thread
-    /// executes a shard, never what the simulation computes — metrics and
-    /// trace ledger are bit-identical across worker counts.
-    pub fn set_workers(&mut self, workers: usize) {
-        self.workers = workers.max(1);
-    }
+    /// Does nothing. The simulator once had a worker-thread pool, which
+    /// this sized; it never ran faster than the serial driver (the
+    /// backend singletons serialise every fetch and publish on shard 0)
+    /// and was removed. The logical shards always run on the caller's
+    /// thread. Kept so that callers written against the pool still build.
+    pub fn set_workers(&mut self, _workers: usize) {}
 
     /// The WAS (for fixture setup: videos, threads, friendships).
     pub fn was_mut(&mut self) -> &mut WebApplicationServer {
@@ -3864,8 +3520,8 @@ impl SystemSim {
     }
 
     /// The hop-ledger of every update traced through this run.
-    pub fn trace_ledger(&self) -> RwLockReadGuard<'_, TraceLedger> {
-        self.world.ledger.read().unwrap()
+    pub fn trace_ledger(&self) -> Ref<'_, TraceLedger> {
+        self.world.ledger.borrow()
     }
 
     /// Per-subsystem counts of events handled so far, across shards.
@@ -4226,19 +3882,13 @@ impl SystemSim {
     // Execution.
     // ------------------------------------------------------------------
 
-    /// Runs the simulation until `until` (inclusive of events at `until`),
-    /// serially or on the configured worker pool — the results are
-    /// identical either way.
+    /// Runs the simulation until `until` (inclusive of events at `until`).
     pub fn run_until(&mut self, until: SimTime) {
         let lookahead = self.latency.min_cross_shard_hop();
         // Windows are closed intervals; the last in-window microsecond is
         // `next + lookahead - 1`.
         let w_minus = SimDuration::from_micros(lookahead.as_micros().saturating_sub(1));
-        if self.workers > 1 && self.shards.len() > 1 {
-            self.run_windows_threaded(until, w_minus);
-        } else {
-            self.run_windows_serial(until, w_minus);
-        }
+        self.run_windows(until, w_minus);
         if until > self.now {
             self.now = until;
         }
@@ -4281,8 +3931,9 @@ impl SystemSim {
         end
     }
 
-    fn run_windows_serial(&mut self, until: SimTime, w_minus: SimDuration) {
-        let nshards = self.shards.len();
+    /// The window loop: fire every metrics tick that is due, otherwise run
+    /// each shard in id order to the window's end and apply the barrier.
+    fn run_windows(&mut self, until: SimTime, w_minus: SimDuration) {
         let prof = std::env::var("BR_PROF").is_ok();
         let mut n_windows = 0u64;
         let mut n_empty = 0u64;
@@ -4295,59 +3946,7 @@ impl SystemSim {
             if tick <= until && next.is_none_or(|n| tick <= n) {
                 // The tick outranks same-time events, matching the old
                 // single-queue schedule order.
-                let summaries: Vec<TickSummary> =
-                    self.shards.iter_mut().map(|s| s.shard_tick(tick)).collect();
-                let ledger_fp = self.world.ledger.read().unwrap().fingerprint();
-                record_tick(
-                    &mut self.root_metrics,
-                    &mut self.root_stats,
-                    &mut self.decisions_at_tick,
-                    &mut self.fingerprints,
-                    ledger_fp,
-                    tick,
-                    summaries,
-                );
-                self.next_metrics_tick = tick + self.config.metrics_interval;
-                self.tick_index += 1;
-                if self.snapshot_every > 0 && self.tick_index.is_multiple_of(self.snapshot_every) {
-                    // The tick is a natural barrier: all windows before it
-                    // are fully applied and the window schedule after it
-                    // depends only on queue state, so a run resumed here
-                    // is bit-identical to one that never stopped.
-                    let bodies: Vec<Vec<u8>> = self
-                        .shards
-                        .iter()
-                        .map(|s| {
-                            let mut w = SnapWriter::new();
-                            s.snap(&mut w);
-                            w.into_bytes()
-                        })
-                        .collect();
-                    let sealed = snap::seal(assemble_snapshot_body(
-                        &self.config,
-                        tick,
-                        self.next_metrics_tick,
-                        self.tick_index,
-                        self.decisions_at_tick,
-                        &self.rng,
-                        &self.langs,
-                        &self.scenario_sids,
-                        &self.world,
-                        &self.root_metrics,
-                        &self.root_stats,
-                        &self.fingerprints,
-                        &self.pending_incoming,
-                        &bodies,
-                        &self.driver_blob,
-                    ));
-                    store_snapshot(
-                        &mut self.snapshots,
-                        self.snapshot_keep,
-                        &self.snapshot_dir,
-                        tick,
-                        sealed,
-                    );
-                }
+                self.metrics_tick(tick);
                 continue;
             }
             let Some(next) = next else { break };
@@ -4358,34 +3957,17 @@ impl SystemSim {
             let t0 = std::time::Instant::now();
             n_windows += 1;
             let mut popped = 0u64;
-            let mut results: Vec<WindowRes> = Vec::with_capacity(nshards);
-            for i in 0..nshards {
-                let incoming = std::mem::take(&mut self.pending_incoming[i]);
-                let shard = &mut self.shards[i];
+            for (shard, incoming) in self.shards.iter_mut().zip(&mut self.pending_incoming) {
                 let s0 = shard.event_stats.total;
-                shard.run_window(end, incoming);
+                shard.run_window(end, std::mem::take(incoming));
                 popped += shard.event_stats.total - s0;
-                results.push(WindowRes {
-                    shard: i,
-                    outbox: std::mem::take(&mut shard.outbox),
-                    ops: std::mem::take(&mut shard.ops),
-                    led: std::mem::take(&mut shard.led_pending),
-                    next: shard.queue.peek_time(),
-                });
             }
             if popped == 0 {
                 n_empty += 1;
             }
             let t1 = std::time::Instant::now();
             t_window += t1 - t0;
-            apply_barrier(
-                &self.world,
-                &mut self.pending_incoming,
-                self.config.pops as usize,
-                nshards,
-                end,
-                results,
-            );
+            self.apply_barrier(end);
             t_barrier += t1.elapsed();
         }
         if prof {
@@ -4398,176 +3980,231 @@ impl SystemSim {
         }
     }
 
-    fn run_windows_threaded(&mut self, until: SimTime, w_minus: SimDuration) {
-        let nshards = self.shards.len();
-        let nworkers = self.workers.min(nshards);
-        let mut next_times: Vec<Option<SimTime>> =
-            self.shards.iter().map(|s| s.queue.peek_time()).collect();
-        // Split the borrow: the worker scope holds `shards`, the
-        // coordinator below touches everything else.
-        let SystemSim {
-            shards,
-            pending_incoming,
-            world,
-            config,
-            root_metrics,
-            root_stats,
-            decisions_at_tick,
-            next_metrics_tick,
-            rng,
-            langs,
-            scenario_sids,
-            fingerprints,
-            tick_index,
-            snapshot_every,
-            snapshot_keep,
-            snapshot_dir,
-            snapshots,
-            driver_blob,
-            ..
-        } = self;
-        std::thread::scope(|scope| {
-            let (res_tx, res_rx) = mpsc::channel::<WorkerRes>();
-            let mut cmd_txs: Vec<mpsc::Sender<Cmd>> = Vec::with_capacity(nworkers);
-            let mut assignments: Vec<Vec<(usize, &mut Shard)>> =
-                (0..nworkers).map(|_| Vec::new()).collect();
-            for (i, shard) in shards.iter_mut().enumerate() {
-                assignments[i % nworkers].push((i, shard));
+    /// The window barrier: apply every shard's deferred registry writes,
+    /// then its ledger records, in shard order; then wrap, merge, and
+    /// route the cross-shard mail. Everything here is ordered by
+    /// `(shard, emission index)` or `(time, src, seq)`.
+    fn apply_barrier(&mut self, window_end: SimTime) {
+        {
+            let mut shared = self.world.shared.borrow_mut();
+            for shard in &mut self.shards {
+                for op in shard.ops.drain(..) {
+                    apply_shared_op(&mut shared, op);
+                }
             }
-            for owned in assignments {
-                let (tx, rx) = mpsc::channel::<Cmd>();
-                cmd_txs.push(tx);
-                let res_tx = res_tx.clone();
-                scope.spawn(move || worker_loop(owned, rx, res_tx));
+        }
+        {
+            let mut ledger = self.world.ledger.borrow_mut();
+            for shard in &mut self.shards {
+                for (trace, hop, at, outcome) in shard.led_pending.drain(..) {
+                    ledger.record(trace, hop, at, outcome);
+                }
             }
-            drop(res_tx);
-            loop {
-                let mut next: Option<SimTime> = None;
-                for s in 0..nshards {
-                    let cands = [next_times[s], pending_incoming[s].first().map(|e| e.at)];
-                    for cand in cands.into_iter().flatten() {
-                        next = Some(match next {
-                            Some(n) if n <= cand => n,
-                            _ => cand,
-                        });
-                    }
+        }
+        let outboxes: Vec<Vec<Envelope<Ev>>> = self
+            .shards
+            .iter_mut()
+            .map(|shard| {
+                let src = shard.id;
+                shard
+                    .outbox
+                    .drain(..)
+                    .enumerate()
+                    .map(|(i, (at, event))| Envelope {
+                        at: clamp_to_window(at, window_end),
+                        src_shard: src,
+                        seq: i as u64,
+                        event,
+                    })
+                    .collect()
+            })
+            .collect();
+        let (pops, shards) = (self.config.pops as usize, self.shards.len());
+        for env in merge(outboxes) {
+            let dest = shard_route(&env.event, pops, shards);
+            self.pending_incoming[dest].push(env);
+        }
+    }
+
+    /// One metrics tick at `at`: samples every shard, folds the samples
+    /// into the root time series (active streams, decision deltas, stream
+    /// availability) and the run fingerprint, and takes a policy snapshot
+    /// if one is due.
+    fn metrics_tick(&mut self, at: SimTime) {
+        let summaries: Vec<TickSummary> =
+            self.shards.iter_mut().map(|s| s.shard_tick(at)).collect();
+        // The per-tick run fingerprint: tick time, the ledger's rolling
+        // hash, and every shard's state digest (in shard order), plus the
+        // fleet aggregates the root series are about to record. Cumulative
+        // by construction — once two runs disagree at a tick, they
+        // disagree at every later tick, which is what lets the bisect
+        // harness binary-search the series.
+        let mut fp = Fp64::new();
+        fp.mix_u64(at.as_micros());
+        fp.mix_u64(self.world.ledger.borrow().fingerprint());
+        for s in &summaries {
+            fp.mix_u64(s.fp);
+            fp.mix_u64(s.active_streams);
+            fp.mix_u64(s.decisions);
+            fp.mix_u64(s.live.len() as u64);
+            fp.mix_u64(s.open.len() as u64);
+        }
+        self.fingerprints.push((at, fp.value()));
+        self.root_stats.total += 1;
+        self.root_stats.metrics += 1;
+        let root_metrics = &mut self.root_metrics;
+        let active: u64 = summaries.iter().map(|s| s.active_streams).sum();
+        root_metrics.ts_active_streams.record(at, active as f64);
+        let decisions: u64 = summaries.iter().map(|s| s.decisions).sum();
+        // Saturating: a crashed/upgraded host restarts with zeroed
+        // counters, so the fleet total can move backwards across a tick.
+        root_metrics
+            .ts_decisions
+            .record(at, decisions.saturating_sub(self.decisions_at_tick) as f64);
+        self.decisions_at_tick = decisions;
+        // One availability sample: of all open streams on
+        // currently-connected devices, the fraction a live BRASS host is
+        // serving right now.
+        let mut live: FxHashSet<(u64, StreamId)> = FxHashSet::default();
+        for s in &summaries {
+            live.extend(s.live.iter().copied());
+        }
+        let mut open = 0u64;
+        let mut served = 0u64;
+        for s in &summaries {
+            for key in &s.open {
+                open += 1;
+                if live.contains(key) {
+                    served += 1;
                 }
-                let tick = *next_metrics_tick;
-                if tick <= until && next.is_none_or(|n| tick <= n) {
-                    for s in 0..nshards {
-                        cmd_txs[s % nworkers]
-                            .send(Cmd::Tick { shard: s, at: tick })
-                            .expect("worker alive");
-                    }
-                    let mut summaries: Vec<Option<TickSummary>> =
-                        (0..nshards).map(|_| None).collect();
-                    for _ in 0..nshards {
-                        match res_rx.recv().expect("worker alive") {
-                            WorkerRes::Tick { shard, summary } => summaries[shard] = Some(summary),
-                            _ => unreachable!("tick round"),
-                        }
-                    }
-                    let summaries: Vec<TickSummary> = summaries
-                        .into_iter()
-                        .map(|s| s.expect("every shard ticked"))
-                        .collect();
-                    let ledger_fp = world.ledger.read().unwrap().fingerprint();
-                    record_tick(
-                        root_metrics,
-                        root_stats,
-                        decisions_at_tick,
-                        fingerprints,
-                        ledger_fp,
-                        tick,
-                        summaries,
-                    );
-                    *next_metrics_tick = tick + config.metrics_interval;
-                    *tick_index += 1;
-                    if *snapshot_every > 0 && *tick_index % *snapshot_every == 0 {
-                        // Workers own the shards inside this scope, so the
-                        // coordinator asks each for its serialized body and
-                        // assembles the snapshot from the pieces — in shard
-                        // order, like everything else at a barrier.
-                        for s in 0..nshards {
-                            cmd_txs[s % nworkers]
-                                .send(Cmd::Snap { shard: s })
-                                .expect("worker alive");
-                        }
-                        let mut bodies: Vec<Option<Vec<u8>>> = (0..nshards).map(|_| None).collect();
-                        for _ in 0..nshards {
-                            match res_rx.recv().expect("worker alive") {
-                                WorkerRes::Snap { shard, bytes } => bodies[shard] = Some(bytes),
-                                _ => unreachable!("snap round"),
-                            }
-                        }
-                        let bodies: Vec<Vec<u8>> = bodies
-                            .into_iter()
-                            .map(|b| b.expect("every shard serialized"))
-                            .collect();
-                        let sealed = snap::seal(assemble_snapshot_body(
-                            config,
-                            tick,
-                            *next_metrics_tick,
-                            *tick_index,
-                            *decisions_at_tick,
-                            rng,
-                            langs,
-                            scenario_sids,
-                            world,
-                            root_metrics,
-                            root_stats,
-                            fingerprints,
-                            pending_incoming,
-                            &bodies,
-                            driver_blob,
-                        ));
-                        store_snapshot(snapshots, *snapshot_keep, snapshot_dir, tick, sealed);
-                    }
-                    continue;
-                }
-                let Some(next) = next else { break };
-                if next > until {
-                    break;
-                }
-                let end = Self::window_end(next, until, tick, w_minus);
-                for s in 0..nshards {
-                    let incoming = std::mem::take(&mut pending_incoming[s]);
-                    cmd_txs[s % nworkers]
-                        .send(Cmd::Run {
-                            shard: s,
-                            end,
-                            incoming,
-                        })
-                        .expect("worker alive");
-                }
-                let mut results: Vec<Option<WindowRes>> = (0..nshards).map(|_| None).collect();
-                for _ in 0..nshards {
-                    match res_rx.recv().expect("worker alive") {
-                        WorkerRes::Window(r) => {
-                            let i = r.shard;
-                            results[i] = Some(r);
-                        }
-                        _ => unreachable!("window round"),
-                    }
-                }
-                let results: Vec<WindowRes> = results
-                    .into_iter()
-                    .map(|r| r.expect("every shard ran"))
-                    .collect();
-                for r in &results {
-                    next_times[r.shard] = r.next;
-                }
-                apply_barrier(
-                    world,
-                    pending_incoming,
-                    config.pops as usize,
-                    nshards,
-                    end,
-                    results,
-                );
             }
-            // Dropping the command senders here ends every worker loop.
-        });
+        }
+        let fraction = if open == 0 {
+            1.0
+        } else {
+            served as f64 / open as f64
+        };
+        root_metrics.record_availability(at, fraction);
+
+        self.next_metrics_tick = at + self.config.metrics_interval;
+        self.tick_index += 1;
+        if self.snapshot_every > 0 && self.tick_index.is_multiple_of(self.snapshot_every) {
+            // The tick is a natural barrier: all windows before it are
+            // fully applied and the window schedule after it depends only
+            // on queue state, so a run resumed here is bit-identical to
+            // one that never stopped.
+            let sealed = snap::seal(self.snapshot_body(at));
+            if let Some(dir) = &self.snapshot_dir {
+                let path = dir.join(format!("snap-{:012}.brsnap", at.as_micros()));
+                std::fs::write(&path, &sealed)
+                    .unwrap_or_else(|e| panic!("writing snapshot {}: {e}", path.display()));
+            }
+            if self.snapshot_keep {
+                self.snapshots.push((at, sealed));
+            }
+        }
+    }
+
+    /// Serializes the complete state, stamped with instant `at`, into one
+    /// snapshot body (unsealed): the coordinator, the shared world, the
+    /// pending mail, then every shard in id order.
+    fn snapshot_body(&self, at: SimTime) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        // The config is part of the experiment definition, not the state:
+        // resume requires the caller to rebuild the exact same config and
+        // only validates it (by its Debug rendering, which covers every
+        // field) instead of round-tripping every nested knob.
+        w.put_str(&format!("{:?}", self.config));
+        at.snap(&mut w);
+        self.next_metrics_tick.snap(&mut w);
+        w.put_u64(self.tick_index);
+        w.put_u64(self.decisions_at_tick);
+        for word in self.rng.state() {
+            w.put_u64(word);
+        }
+        w.put_usize(self.langs.len());
+        for l in &self.langs {
+            w.put_str(l);
+        }
+        snap::snap_map(&self.scenario_sids, &mut w);
+        {
+            let shared = self.world.shared.borrow();
+            let mut traces: Vec<_> = shared.object_trace.iter().collect();
+            traces.sort_by_key(|(k, _)| k.0);
+            w.put_usize(traces.len());
+            for (object, trace) in traces {
+                w.put_u64(object.0);
+                trace.snap(&mut w);
+            }
+            let mut fanout_traces: Vec<_> = shared.topic_object_trace.iter().collect();
+            fanout_traces
+                .sort_by(|a, b| (a.0 .0.as_str(), a.0 .1 .0).cmp(&(b.0 .0.as_str(), b.0 .1 .0)));
+            w.put_usize(fanout_traces.len());
+            for (&(topic, object), trace) in fanout_traces {
+                topic.snap(&mut w);
+                w.put_u64(object.0);
+                trace.snap(&mut w);
+            }
+            let mut topics: Vec<_> = shared.topic_streams.iter().collect();
+            topics.sort_by(|a, b| a.0.as_str().cmp(b.0.as_str()));
+            w.put_usize(topics.len());
+            for (topic, streams) in topics {
+                topic.snap(&mut w);
+                // Verbatim: publication fan-out walks this vec in push order.
+                w.put_usize(streams.len());
+                for (device, sid) in streams {
+                    w.put_u64(*device);
+                    sid.snap(&mut w);
+                }
+            }
+            let mut stream_topics: Vec<_> = shared.stream_topic.iter().collect();
+            stream_topics.sort_by_key(|(k, _)| **k);
+            w.put_usize(stream_topics.len());
+            for (&(device, sid), topic) in stream_topics {
+                w.put_u64(device);
+                sid.snap(&mut w);
+                topic.snap(&mut w);
+            }
+            let mut proxies: Vec<_> = shared.device_proxy.iter().collect();
+            proxies.sort_by_key(|(k, _)| **k);
+            w.put_usize(proxies.len());
+            for (&device, &proxy) in proxies {
+                w.put_u64(device);
+                w.put_usize(proxy);
+            }
+            w.put_usize(shared.host_up.len());
+            for up in &shared.host_up {
+                w.put_bool(*up);
+            }
+        }
+        self.world.ledger.borrow().snap(&mut w);
+        self.root_metrics.snap(&mut w);
+        self.root_stats.snap(&mut w);
+        w.put_usize(self.fingerprints.len());
+        for (tick, fp) in &self.fingerprints {
+            tick.snap(&mut w);
+            w.put_u64(*fp);
+        }
+        w.put_usize(self.pending_incoming.len());
+        for mailbox in &self.pending_incoming {
+            // Verbatim: envelope order is queue insertion order, which
+            // breaks ties between same-time events.
+            w.put_usize(mailbox.len());
+            for env in mailbox {
+                env.at.snap(&mut w);
+                w.put_usize(env.src_shard);
+                w.put_u64(env.seq);
+                env.event.snap(&mut w);
+            }
+        }
+        w.put_usize(self.shards.len());
+        for shard in &self.shards {
+            let mut body = SnapWriter::new();
+            shard.snap(&mut body);
+            w.put_bytes(&body.into_bytes());
+        }
+        w.put_bytes(&self.driver_blob);
+        w.into_bytes()
     }
 
     // ------------------------------------------------------------------
@@ -4605,32 +4242,7 @@ impl SystemSim {
     /// in-loop policy ([`Self::set_snapshot_policy`]) captures at metrics
     /// ticks, which satisfies that for any chunking.
     pub fn snapshot(&self) -> Vec<u8> {
-        let bodies: Vec<Vec<u8>> = self
-            .shards
-            .iter()
-            .map(|s| {
-                let mut w = SnapWriter::new();
-                s.snap(&mut w);
-                w.into_bytes()
-            })
-            .collect();
-        snap::seal(assemble_snapshot_body(
-            &self.config,
-            self.now,
-            self.next_metrics_tick,
-            self.tick_index,
-            self.decisions_at_tick,
-            &self.rng,
-            &self.langs,
-            &self.scenario_sids,
-            &self.world,
-            &self.root_metrics,
-            &self.root_stats,
-            &self.fingerprints,
-            &self.pending_incoming,
-            &bodies,
-            &self.driver_blob,
-        ))
+        snap::seal(self.snapshot_body(self.now))
     }
 
     /// Rebuilds a simulation from a sealed snapshot, fail-closed: the
@@ -4775,8 +4387,8 @@ impl SystemSim {
             fingerprints.push((tick, r.get_u64()?));
         }
 
-        let world = Arc::new(World {
-            shared: RwLock::new(SharedInner {
+        let world = Rc::new(World {
+            shared: RefCell::new(SharedInner {
                 object_trace,
                 topic_object_trace,
                 topic_streams,
@@ -4784,7 +4396,7 @@ impl SystemSim {
                 device_proxy,
                 host_up,
             }),
-            ledger: RwLock::new(ledger),
+            ledger: RefCell::new(ledger),
         });
 
         let nshards = config.logical_shards;
@@ -4833,7 +4445,7 @@ impl SystemSim {
         for id in 0..nshards {
             let body = r.get_bytes()?;
             let mut sr = SnapReader::new(&body);
-            let shard = Shard::restore(id, &config, Arc::clone(&world), &mut sr)?;
+            let shard = Shard::restore(id, &config, Rc::clone(&world), &mut sr)?;
             sr.finish()?;
             shards.push(shard);
         }
@@ -4855,7 +4467,6 @@ impl SystemSim {
         let mut sim = SystemSim {
             latency: LatencyModel::table3(),
             rng,
-            workers: 1,
             now: at,
             next_metrics_tick,
             world,
@@ -4896,7 +4507,7 @@ impl SystemSim {
 
     /// The per-metrics-tick rolling run fingerprints recorded so far.
     /// Identical for identical `(config, seed, workload)` regardless of
-    /// worker count, chunking, hibernation, or snapshot policy; the first
+    /// chunking, hibernation, or snapshot policy; the first
     /// differing entry between two runs brackets their first divergence.
     pub fn tick_fingerprints(&self) -> &[(SimTime, u64)] {
         &self.fingerprints
@@ -4908,7 +4519,7 @@ impl SystemSim {
     /// reached — run straight or resumed from a snapshot.
     pub fn fingerprint_now(&self) -> u64 {
         let mut fp = Fp64::new();
-        fp.mix_u64(self.world.ledger.read().unwrap().fingerprint());
+        fp.mix_u64(self.world.ledger.borrow().fingerprint());
         for shard in &self.shards {
             fp.mix_u64(shard.fingerprint());
         }
@@ -4992,7 +4603,7 @@ impl SystemSim {
                 }
             }
         }
-        let ledger = self.world.ledger.read().unwrap();
+        let ledger = self.world.ledger.borrow();
         crate::fault::ConvergenceReport {
             connected_devices,
             open_streams,
@@ -5458,104 +5069,6 @@ mod tests {
         assert_eq!(
             baseline, shifted,
             "metrics must not depend on topic intern order"
-        );
-    }
-
-    /// Runs a fault-heavy multi-app scenario on `workers` threads and
-    /// returns an exhaustive fingerprint: metrics counters, per-app
-    /// latency bit patterns, event stats, and the full trace ledger
-    /// (every hop record of every chain). Any scheduling dependence in
-    /// the sharded executor perturbs at least one component.
-    fn parallel_fingerprint(workers: usize) -> String {
-        let mut s = SystemSim::new(SystemConfig::small(), 4242);
-        s.set_workers(workers);
-        let video = s.was_mut().create_video("parallel");
-        let poster = s.create_user_device("poster", "en");
-        let mut viewers = Vec::new();
-        for i in 0..12 {
-            let v = s.create_user_device(&format!("viewer{i}"), "en");
-            s.subscribe_lvc(SimTime::from_millis(i * 37), v, video);
-            viewers.push(v);
-        }
-        let thread = s.was_mut().create_thread(&[poster, viewers[0]]);
-        s.subscribe_mailbox(SimTime::from_millis(500), viewers[0]);
-        s.subscribe_typing(SimTime::from_millis(600), viewers[0], thread, poster);
-        for i in 0..20 {
-            s.post_comment(
-                SimTime::from_millis(2_000 + i * 450),
-                poster,
-                video,
-                &format!("comment number {i} with enough words to rank"),
-            );
-        }
-        s.set_typing(SimTime::from_secs(3), poster, thread, true);
-        s.send_message(SimTime::from_secs(4), poster, thread, "hello there");
-        // Faults across every subsystem: device churn, a planned upgrade,
-        // an unplanned crash, and a proxy outage.
-        s.schedule_device_drop(SimTime::from_secs(6), viewers[1]);
-        s.schedule_device_vanish(SimTime::from_secs(7), viewers[2]);
-        s.schedule_brass_upgrade(SimTime::from_secs(8), 1, SimDuration::from_secs(20));
-        s.schedule_brass_crash(SimTime::from_secs(10), 2, SimDuration::from_secs(25));
-        s.schedule_proxy_outage(SimTime::from_secs(12), 0, SimDuration::from_secs(15));
-        s.run_until(SimTime::from_secs(90));
-
-        let m = s.metrics();
-        let mut apps: Vec<_> = m.per_app.iter().collect();
-        apps.sort_by(|a, b| a.0.cmp(b.0));
-        let per_app: Vec<String> = apps
-            .iter()
-            .map(|(name, lat)| {
-                format!(
-                    "{name}:{}:{:x}",
-                    lat.total.count(),
-                    lat.total.mean().to_bits()
-                )
-            })
-            .collect();
-        let ledger = s.trace_ledger();
-        let mut chains = String::new();
-        for trace in ledger.trace_ids() {
-            chains.push_str(&format!("{trace:?}=["));
-            for rec in ledger.chain(trace) {
-                chains.push_str(&format!(
-                    "{:?}@{}:{:?};",
-                    rec.hop,
-                    rec.at.as_micros(),
-                    rec.outcome
-                ));
-            }
-            chains.push(']');
-        }
-        format!(
-            "deliveries={} publications={} subscriptions={} mutations={} \
-             drops={} reconnects={} hb_false={} proxy_rec={} decisions={} \
-             events={} heartbeats={} apps=[{}] traces={} chains={chains}",
-            m.deliveries.get(),
-            m.publications.get(),
-            m.subscriptions.get(),
-            m.mutations.get(),
-            m.connection_drops.get(),
-            m.host_failures_detected.get(),
-            m.device_vanishes.get(),
-            s.total_proxy_reconnects(),
-            s.total_decisions(),
-            s.event_stats().total,
-            s.event_stats().heartbeats,
-            per_app.join(","),
-            ledger.trace_count(),
-        )
-    }
-
-    /// The tentpole acceptance test: the same seed must produce
-    /// bit-identical metrics and trace ledger whether the logical shards
-    /// run serially on one thread or in parallel on several.
-    #[test]
-    fn parallel_workers_match_serial() {
-        let serial = parallel_fingerprint(1);
-        let threaded = parallel_fingerprint(3);
-        assert_eq!(
-            serial, threaded,
-            "worker count must not perturb simulation results"
         );
     }
 }

@@ -1,9 +1,6 @@
 //! Determinism regression: all randomness flows from the single seed, so
 //! the same seed must reproduce the run bit-for-bit — every metric and
-//! every trace-ledger hop record — while a different seed must not. The
-//! worker-thread count of the sharded executor is a pure performance knob
-//! and must never show up in the results either: every scenario here is
-//! also replayed at several worker counts and compared bit-for-bit.
+//! every trace-ledger hop record — while a different seed must not.
 
 use bladerunner::{SystemConfig, SystemMetrics, SystemSim};
 use simkit::time::SimTime;
@@ -12,9 +9,8 @@ use simkit::trace::TraceLedger;
 /// An LVC end-to-end scenario with enough entropy sources to catch a
 /// nondeterminism regression: ranking, buffer pressure, rate-limit expiry,
 /// last-mile loss, and a mid-run device drop with reconnect.
-fn lvc_scenario(seed: u64, workers: usize) -> (SystemMetrics, TraceLedger) {
+fn lvc_scenario(seed: u64) -> (SystemMetrics, TraceLedger) {
     let mut s = SystemSim::new(SystemConfig::small(), seed);
-    s.set_workers(workers);
     let video = s.was_mut().create_video("replay");
     let poster = s.create_user_device("poster", "en");
     let viewer = s.create_user_device("viewer", "en");
@@ -36,8 +32,8 @@ fn lvc_scenario(seed: u64, workers: usize) -> (SystemMetrics, TraceLedger) {
 
 #[test]
 fn same_seed_reproduces_metrics_and_ledger_exactly() {
-    let (m1, l1) = lvc_scenario(42, 1);
-    let (m2, l2) = lvc_scenario(42, 1);
+    let (m1, l1) = lvc_scenario(42);
+    let (m2, l2) = lvc_scenario(42);
     assert_eq!(m1, m2, "metrics must be bit-identical across replays");
     assert_eq!(
         l1.records(),
@@ -47,28 +43,14 @@ fn same_seed_reproduces_metrics_and_ledger_exactly() {
     assert_eq!(l1, l2, "the full ledgers must be bit-identical");
 }
 
-#[test]
-fn worker_count_does_not_perturb_lvc_scenario() {
-    let (m1, l1) = lvc_scenario(42, 1);
-    for workers in [2, 4] {
-        let (m, l) = lvc_scenario(42, workers);
-        assert_eq!(m1, m, "metrics identical at {workers} workers");
-        assert_eq!(l1, l, "ledger identical at {workers} workers");
-    }
-}
-
 /// A chaos scenario: the canned fault plan (itself seeded) on top of a
 /// steady workload — heartbeat detection, stream repair, reconnect
 /// backoff with jitter, and WAS backfill all replay from the one seed.
-fn chaos_scenario(
-    seed: u64,
-    workers: usize,
-) -> (SystemMetrics, TraceLedger, bladerunner::fault::FaultPlan) {
+fn chaos_scenario(seed: u64) -> (SystemMetrics, TraceLedger, bladerunner::fault::FaultPlan) {
     let mut config = SystemConfig::small();
     config.metrics_interval = simkit::time::SimDuration::from_secs(2);
     config.metrics_horizon = simkit::time::SimDuration::from_hours(1);
     let mut s = SystemSim::new(config.clone(), seed);
-    s.set_workers(workers);
     let video = s.was_mut().create_video("chaos-replay");
     let poster = s.create_user_device("poster", "en");
     let viewers: Vec<u64> = (0..8)
@@ -98,8 +80,8 @@ fn chaos_scenario(
 
 #[test]
 fn same_seed_and_fault_plan_replay_bit_identically() {
-    let (m1, l1, p1) = chaos_scenario(1234, 1);
-    let (m2, l2, p2) = chaos_scenario(1234, 1);
+    let (m1, l1, p1) = chaos_scenario(1234);
+    let (m2, l2, p2) = chaos_scenario(1234);
     assert_eq!(p1, p2, "the compiled fault timeline must be identical");
     assert_eq!(
         m1, m2,
@@ -108,25 +90,14 @@ fn same_seed_and_fault_plan_replay_bit_identically() {
     assert_eq!(l1, l2, "the ledgers must be bit-identical under faults");
 }
 
-#[test]
-fn worker_count_does_not_perturb_chaos_scenario() {
-    let (m1, l1, p1) = chaos_scenario(1234, 1);
-    for workers in [2, 4] {
-        let (m, l, p) = chaos_scenario(1234, workers);
-        assert_eq!(p1, p, "fault timeline identical at {workers} workers");
-        assert_eq!(m1, m, "metrics identical at {workers} workers under faults");
-        assert_eq!(l1, l, "ledger identical at {workers} workers under faults");
-    }
-}
-
 /// The flash-crowd overload scenario with every backpressure knob engaged:
 /// an M/D/1 host backlog, a capped mailbox shedding to the ledger, and the
 /// byte-window flow control with Degraded/Recovered hysteresis. The queue
 /// gauges, shed counters, and drop attributions all live inside
 /// [`SystemMetrics`]/[`TraceLedger`], so bit-equality here proves the whole
 /// overload path — including its per-stage queue-depth series — replays
-/// identically regardless of the worker count.
-fn flashcrowd_scenario(seed: u64, workers: usize) -> (SystemMetrics, TraceLedger) {
+/// identically.
+fn flashcrowd_scenario(seed: u64) -> (SystemMetrics, TraceLedger) {
     let mut config = SystemConfig::small();
     config.metrics_interval = simkit::time::SimDuration::from_secs(2);
     config.metrics_horizon = simkit::time::SimDuration::from_hours(1);
@@ -134,7 +105,6 @@ fn flashcrowd_scenario(seed: u64, workers: usize) -> (SystemMetrics, TraceLedger
     config.brass_mailbox_capacity = 50;
     config.egress_window_bytes = 256;
     let mut s = SystemSim::new(config, seed);
-    s.set_workers(workers);
     let fc = bladerunner::scenario::FlashCrowd::setup(
         &mut s,
         10,
@@ -168,8 +138,8 @@ fn flashcrowd_scenario(seed: u64, workers: usize) -> (SystemMetrics, TraceLedger
 
 #[test]
 fn same_seed_replays_flashcrowd_overload_exactly() {
-    let (m1, l1) = flashcrowd_scenario(4242, 1);
-    let (m2, l2) = flashcrowd_scenario(4242, 1);
+    let (m1, l1) = flashcrowd_scenario(4242);
+    let (m2, l2) = flashcrowd_scenario(4242);
     assert_eq!(m1, m2, "overload metrics must replay bit-identically");
     assert_eq!(l1, l2, "overload ledger must replay bit-identically");
     assert!(
@@ -179,23 +149,9 @@ fn same_seed_replays_flashcrowd_overload_exactly() {
 }
 
 #[test]
-fn worker_count_does_not_perturb_flashcrowd_scenario() {
-    let (m1, l1) = flashcrowd_scenario(4242, 1);
-    for workers in [2, 4] {
-        let (m, l) = flashcrowd_scenario(4242, workers);
-        assert_eq!(
-            m1.q_brass_mailbox, m.q_brass_mailbox,
-            "mailbox depth series identical at {workers} workers"
-        );
-        assert_eq!(m1, m, "overload metrics identical at {workers} workers");
-        assert_eq!(l1, l, "overload ledger identical at {workers} workers");
-    }
-}
-
-#[test]
 fn different_seed_diverges() {
-    let (m1, l1) = lvc_scenario(42, 1);
-    let (m2, l2) = lvc_scenario(777, 1);
+    let (m1, l1) = lvc_scenario(42);
+    let (m2, l2) = lvc_scenario(777);
     assert!(
         m1 != m2 || l1 != l2,
         "different seeds must not produce identical runs"

@@ -12,7 +12,7 @@
 
 use bladerunner::fault::{FaultEpisode, FaultKind, FaultPlan, OracleId, Violation};
 use bladerunner::fuzz::{
-    decode_artifact, encode_artifact, gen_case, shrink, FuzzCase, RunOptions, ScenarioMix,
+    decode_artifact, encode_artifact, gen_case, run_case, shrink, FuzzCase, RunOptions, ScenarioMix,
 };
 use simkit::snap::{Snap, SnapReader, SnapWriter};
 use simkit::time::{SimDuration, SimTime};
@@ -112,6 +112,33 @@ fn artifact_corruption_fails_closed() {
     }
 }
 
+/// Every checked-in `corpus/*.brfuzz` artifact (each the shrunk repro of a
+/// since-fixed bug) still decodes under the current format, oracle tags
+/// included, and replays with no violation.
+#[test]
+fn corpus_artifacts_decode_and_replay_clean() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../corpus");
+    let mut paths: Vec<_> = std::fs::read_dir(&dir)
+        .expect("corpus directory")
+        .map(|e| e.expect("corpus entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "brfuzz"))
+        .collect();
+    paths.sort();
+    assert_eq!(paths.len(), 5, "corpus artifacts: {paths:?}");
+    for path in &paths {
+        let bytes = std::fs::read(path).expect("read artifact");
+        let (case, _recorded) = decode_artifact(&bytes)
+            .unwrap_or_else(|e| panic!("{} does not decode: {e}", path.display()));
+        let report = run_case(&case, &RunOptions::default());
+        assert!(
+            report.violations.is_empty(),
+            "{} regressed: {:?}",
+            path.display(),
+            report.violations
+        );
+    }
+}
+
 /// Shrinker self-test at integration scale: a hand-built case plants the
 /// test-only oracle's trigger (a proxy outage plus a reconnect storm)
 /// among bystander episodes. The shrinker must reduce it to the
@@ -156,10 +183,7 @@ fn shrinker_reaches_the_planted_minimum_deterministically() {
             },
         ],
     };
-    let opts = RunOptions {
-        xcheck_workers: 0,
-        planted: true,
-    };
+    let opts = RunOptions { planted: true };
     let result = shrink(&case, OracleId::Planted, &opts, 60);
     assert!(
         result.case.plan.episodes.len() <= 2,

@@ -12,7 +12,7 @@
 //!   rewrite deltas to that copy in flight, and garbage-collects state for
 //!   dead streams.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use simkit::snap::{SnapError, SnapReader, SnapResult, SnapWriter};
 
@@ -551,10 +551,12 @@ pub struct ProxyEntry {
 /// one proxy.
 ///
 /// Stream ids are client-generated, so they are only unique per client
-/// connection; callers key entries by a `conn` discriminator.
+/// connection; callers key entries by a `conn` discriminator. Entries are
+/// ordered by `(conn, sid)`, so one connection's streams form a single
+/// range and a connection's teardown costs O(its streams), not O(table).
 #[derive(Default)]
 pub struct ProxyStreamTable {
-    entries: HashMap<(u64, StreamId), ProxyEntry>,
+    entries: BTreeMap<(u64, StreamId), ProxyEntry>,
 }
 
 impl ProxyStreamTable {
@@ -622,16 +624,18 @@ impl ProxyStreamTable {
     /// disconnected; §3.5: proxies GC stream state "when the connection to
     /// the device fails").
     pub fn on_connection_closed(&mut self, conn: u64) -> Vec<StreamId> {
-        let sids: Vec<StreamId> = self
-            .entries
-            .keys()
-            .filter(|(c, _)| *c == conn)
-            .map(|(_, s)| *s)
-            .collect();
+        let sids: Vec<StreamId> = self.streams_of(conn).map(|(sid, _)| sid).collect();
         for sid in &sids {
             self.entries.remove(&(conn, *sid));
         }
         sids
+    }
+
+    /// One connection's streams, in ascending sid order.
+    pub fn streams_of(&self, conn: u64) -> impl Iterator<Item = (StreamId, &ProxyEntry)> {
+        self.entries
+            .range((conn, StreamId(0))..=(conn, StreamId(u64::MAX)))
+            .map(|(&(_, sid), entry)| (sid, entry))
     }
 
     /// Looks up a stream's stored entry.
@@ -648,38 +652,30 @@ impl ProxyStreamTable {
 
     /// Streams whose upstream hop is not in `live` — orphans left behind
     /// when repairs had nowhere to go, re-repaired once a hop returns.
+    /// Ascending `(conn, sid)` order.
     pub fn streams_not_via(&self, live: &[u64]) -> Vec<(u64, StreamId)> {
-        let mut v: Vec<(u64, StreamId)> = self
-            .entries
+        self.entries
             .iter()
             .filter(|(_, e)| e.upstream.is_none_or(|u| !live.contains(&u)))
             .map(|(&k, _)| k)
-            .collect();
-        v.sort_unstable_by_key(|&(c, s)| (c, s));
-        v
+            .collect()
     }
 
     /// Streams routed to a given upstream hop — the set the proxy must
-    /// repair when that hop fails (axiom 2).
+    /// repair when that hop fails (axiom 2). Ascending `(conn, sid)` order.
     pub fn streams_via(&self, upstream: u64) -> Vec<(u64, StreamId)> {
-        let mut v: Vec<(u64, StreamId)> = self
-            .entries
+        self.entries
             .iter()
             .filter(|(_, e)| e.upstream == Some(upstream))
             .map(|(&k, _)| k)
-            .collect();
-        v.sort_unstable_by_key(|&(c, s)| (c, s));
-        v
+            .collect()
     }
 
     /// Writes the table into a snapshot, entries in ascending `(conn, sid)`
-    /// order so the encoding is independent of hash-map iteration order.
+    /// order.
     pub fn snap(&self, w: &mut SnapWriter) {
-        let mut keys: Vec<(u64, StreamId)> = self.entries.keys().copied().collect();
-        keys.sort_unstable();
-        w.put_usize(keys.len());
-        for key in keys {
-            let entry = &self.entries[&key];
+        w.put_usize(self.entries.len());
+        for (key, entry) in &self.entries {
             w.put_u64(key.0);
             w.put_u64(key.1 .0);
             snap_packed(&entry.header, w);
@@ -698,7 +694,7 @@ impl ProxyStreamTable {
     /// Reads a table back, rejecting duplicate or out-of-order keys.
     pub fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
         let n = r.get_len()?;
-        let mut entries = HashMap::with_capacity(n);
+        let mut entries = BTreeMap::new();
         let mut last: Option<(u64, StreamId)> = None;
         for _ in 0..n {
             let key = (r.get_u64()?, StreamId(r.get_u64()?));

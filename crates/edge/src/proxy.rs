@@ -474,26 +474,23 @@ impl ReverseProxy {
     /// state is dropped, and the owning BRASSes are informed via cancels
     /// (axiom 1 upstream direction).
     pub fn on_device_disconnected(&mut self, device: u64) -> Vec<ProxyEffect> {
+        // Cancels go out in host-pool order, then sid order; streams on a
+        // host outside the pool (or orphaned) have no BRASS to tell.
+        let streams: Vec<(StreamId, Option<u64>)> = self
+            .table
+            .streams_of(device)
+            .map(|(sid, entry)| (sid, entry.upstream))
+            .collect();
         let mut out = Vec::new();
-        // Collect (sid, host) pairs before mutating the table.
-        let pairs: Vec<(StreamId, Option<u64>)> = {
-            let mut v = Vec::new();
-            for host in self.host_set() {
-                for (d, sid) in self.table.streams_via(host as u64) {
-                    if d == device {
-                        v.push((sid, Some(host as u64)));
-                    }
+        for &host in &self.hosts {
+            for &(sid, upstream) in &streams {
+                if upstream == Some(host as u64) {
+                    out.push(ProxyEffect::ToBrass {
+                        host,
+                        device,
+                        frame: Frame::Cancel { sid },
+                    });
                 }
-            }
-            v
-        };
-        for (sid, host) in pairs {
-            if let Some(host) = host {
-                out.push(ProxyEffect::ToBrass {
-                    host: host as u32,
-                    device,
-                    frame: Frame::Cancel { sid },
-                });
             }
         }
         let dropped = self.table.on_connection_closed(device);
@@ -506,10 +503,6 @@ impl ReverseProxy {
         let n = self.table.gc(cutoff_us);
         self.counters.gc_collected += n as u64;
         n
-    }
-
-    fn host_set(&self) -> Vec<u32> {
-        self.hosts.clone()
     }
 
     /// Writes the proxy's complete state into a snapshot. The host pool
@@ -797,6 +790,39 @@ mod tests {
             .count();
         assert_eq!(cancels, 2);
         assert_eq!(p.stream_count(), 1);
+    }
+
+    #[test]
+    fn device_disconnect_cancels_in_host_pool_then_sid_order() {
+        // The pool order (12, 10, 11) is not host-id order, and each
+        // host's sids are interleaved with the others'.
+        let mut p = ReverseProxy::new(1, RouteStrategy::ByLoad, vec![12, 10, 11]);
+        for (sid, host) in [(5, 10), (1, 11), (4, 12), (2, 10), (7, 12), (3, 11)] {
+            let mut h = header("/LVC/5");
+            h.set("brass_host", Json::from(host as u64));
+            p.on_downstream_frame(1, sub_frame(sid, h), 0);
+        }
+        // Another device's streams, on either side in key order.
+        p.on_downstream_frame(0, sub_frame(9, header("/LVC/6")), 0);
+        p.on_downstream_frame(2, sub_frame(1, header("/LVC/7")), 0);
+        let cancels: Vec<(u32, u64)> = p
+            .on_device_disconnected(1)
+            .iter()
+            .map(|e| match e {
+                ProxyEffect::ToBrass {
+                    host,
+                    device: 1,
+                    frame: Frame::Cancel { sid },
+                } => (*host, sid.0),
+                other => panic!("unexpected effect {other:?}"),
+            })
+            .collect();
+        assert_eq!(
+            cancels,
+            vec![(12, 4), (12, 7), (10, 2), (10, 5), (11, 1), (11, 3)]
+        );
+        assert_eq!(p.stream_count(), 2);
+        assert!(p.on_device_disconnected(1).is_empty());
     }
 
     #[test]

@@ -65,6 +65,12 @@ pub enum SnapError {
     /// A decoded value violated a structural invariant (bad enum tag,
     /// unsorted map keys, out-of-range length, ...).
     Invalid(String),
+    /// A tag that older files carry but whose meaning has been retired:
+    /// recognised, never reinterpreted.
+    Retired {
+        /// What the tag named.
+        what: &'static str,
+    },
 }
 
 impl fmt::Display for SnapError {
@@ -80,6 +86,7 @@ impl fmt::Display for SnapError {
                 write!(f, "snapshot has {remaining} trailing bytes after decode")
             }
             SnapError::Invalid(msg) => write!(f, "invalid snapshot: {msg}"),
+            SnapError::Retired { what } => write!(f, "retired tag: {what}"),
         }
     }
 }
